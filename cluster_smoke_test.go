@@ -121,9 +121,9 @@ func suiteBatch(t *testing.T) (server.BatchSubmitRequest, []string) {
 			req.Jobs = append(req.Jobs, server.SubmitRequest{
 				Benchmark: circuit,
 				EmitBLIF:  true,
-				// Parallelism exercises the wave-parallel mapper through
-				// the whole cluster path; the golden hashes below prove
-				// it changes nothing in the bytes.
+				// Parallelism exercises parallel placement through the
+				// whole cluster path; the golden hashes below prove it
+				// changes nothing in the bytes.
 				Options: server.JobOptions{Mapper: "lily", Objective: obj.name, Parallelism: 2},
 			})
 			keys = append(keys, goldenKey(circuit, obj.obj))

@@ -77,7 +77,7 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "worker-pool size")
 	parallelism := flag.Int("parallelism", 0,
-		"intra-job worker default for jobs that don't set options.parallelism (0 = sequential; bit-identical output at any setting)")
+		"intra-job placement worker default for jobs that don't set options.parallelism (0 = sequential; bit-identical output at any setting)")
 	queue := flag.Int("queue", 0, "submit-queue capacity (0 = 4x workers)")
 	cache := flag.Int("cache", 256, "result-cache entries (negative disables)")
 	timeout := flag.Duration("timeout", 10*time.Minute, "default per-job timeout (0 = none)")

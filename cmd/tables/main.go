@@ -47,7 +47,7 @@ func main() {
 	autotune := flag.Bool("autotune", false, "let Lily retry with the paper's §5 remedies and keep the best run")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "flow-engine worker-pool size")
 	parallelism := flag.Int("parallelism", 0,
-		"intra-job workers for the cover DP and placement solves (0 = sequential; results are bit-identical at any setting)")
+		"intra-job workers for the placement solves (0 = sequential; results are bit-identical at any setting)")
 	serverURL := flag.String("server", "", "lilyd base URL; run the suite through its batch API instead of in-process")
 	target := flag.String("target", "asic",
 		"add FPGA columns mapped at this technology target: asic (none), lut4, or lut6")

@@ -157,7 +157,7 @@ func TestMappedBLIFGOMAXPROCSInvariant(t *testing.T) {
 		// winner selection must also be schedule-independent.
 		{"misex1", lily.FlowOptions{Mapper: lily.MapperLily, AutoTune: true}},
 		{"b9", lily.FlowOptions{Mapper: lily.MapperLily, Objective: lily.ObjectiveArea}},
-		// The LUT backend shares the wave-parallel commit machinery, so
+		// The LUT backend shares the cover DP and its placement, so
 		// both tile sizes get the same byte-identity soak as ASIC.
 		{"b9", lily.FlowOptions{Mapper: lily.MapperLily, Objective: lily.ObjectiveArea, Target: lily.TargetLUT4}},
 		{"b9", lily.FlowOptions{Mapper: lily.MapperLily, Objective: lily.ObjectiveDelay, Target: lily.TargetLUT6}},
@@ -171,9 +171,10 @@ func TestMappedBLIFGOMAXPROCSInvariant(t *testing.T) {
 		var want []byte
 		for _, procs := range levels {
 			runtime.GOMAXPROCS(procs)
-			// The intra-job Parallelism knob must be invisible in the
-			// bytes at every scheduler width — that is the contract that
-			// lets the engine digest exclude it.
+			// The intra-job Parallelism knob (parallel placement
+			// reductions) must be invisible in the bytes at every
+			// scheduler width — that is the contract that lets the
+			// engine digest exclude it.
 			for _, par := range levels {
 				opt := tc.opt
 				opt.Parallelism = par
@@ -207,12 +208,12 @@ func dedupLevels(in []int) []int {
 	return out
 }
 
-// TestConcurrentParallelRuns is the pooled-scratch regression for the
-// wave-parallel mapper: several parallel-mode pipelines run at once, so
-// wire.Scratch buffers are borrowed concurrently by overlapping worker
-// pools. Every run must still emit the sequential bytes — and under
-// -race (CI's race-lifecycle job) any scratch object shared between two
-// borrowers is a hard failure, not just a byte mismatch.
+// TestConcurrentParallelRuns is the pooled-scratch regression for
+// parallel placement: several pipelines with placement worker pools run
+// at once, so wire.Scratch buffers and the placer's region scratch are
+// borrowed concurrently. Every run must still emit the sequential bytes
+// — and under -race (CI's race-lifecycle job) any scratch object shared
+// between two borrowers is a hard failure, not just a byte mismatch.
 func TestConcurrentParallelRuns(t *testing.T) {
 	opt := lily.FlowOptions{Mapper: lily.MapperLily, Objective: lily.ObjectiveArea}
 	want := mappedBytes(t, "misex1", opt)

@@ -123,9 +123,8 @@ func (t Target) LUTK() int {
 
 // Backend supplies the candidate matches the covering DP chooses from.
 // Implementations must be deterministic and memoized: MatchesAt returns
-// the same read-only slice for the same node every call, and a memo hit
-// must be a pure read (the wave-parallel scheduler pre-warms the memo
-// sequentially, then shares one Backend across workers). The two
+// the same read-only slice for the same node every call, so a dove
+// re-evaluated in a later cone costs no re-enumeration. The two
 // implementations are match.Matcher (ASIC) and cut.Enumerator (LUTs).
 type Backend interface {
 	MatchesAt(v logic.NodeID) []*match.Match
@@ -159,12 +158,7 @@ type Options struct {
 	// MIS 2.2-style load preprocessing the paper points to in §6 for
 	// overcoming its load-independent delay model.
 	TwoPassDelay bool
-	// Parallelism bounds the worker count for the intra-run wave-parallel
-	// cone evaluation (DESIGN.md §13): consecutive support-disjoint cones
-	// are evaluated concurrently and committed strictly in cone order.
-	// 0 or 1 runs the sequential schedule; any value produces bit-identical
-	// output (the waves are chosen so no worker can observe another's
-	// effects, and all shared-state mutation replays in commit order).
+	// Deprecated: ignored; cover runs one sequential schedule.
 	Parallelism int
 	// TraceLifecycle records every egg/nestling/hawk/dove transition.
 	TraceLifecycle bool
@@ -409,10 +403,7 @@ type lily struct {
 	// every signal (all positions moved). A cached list is valid iff
 	// fanStamp[v] == fanVer[v], so transitions leave the lists of
 	// untouched signals warm — under the old whole-cache epoch, every
-	// reawakened dove invalidated every list in the run. fanVer is shared
-	// across the wave workers (each wave's transitions write only fanin
-	// slots inside its own cone supports, which are disjoint from every
-	// slot concurrent cones read); fanStamp and fanLists are private.
+	// reawakened dove invalidated every list in the run.
 	fanVer   []uint64
 	fanStamp []uint64
 	fanLists [][]trueFanout
@@ -438,15 +429,8 @@ type lily struct {
 }
 
 func (lm *lily) run() (*Result, error) {
-	order := lm.coneOrder()
-	var coneErr error
-	if lm.opt.Parallelism > 1 && len(order) > 1 {
-		coneErr = lm.runConesParallel(order)
-	} else {
-		coneErr = lm.runConesSequential(order)
-	}
-	if coneErr != nil {
-		return nil, coneErr
+	if err := lm.runConesSequential(lm.coneOrder()); err != nil {
+		return nil, err
 	}
 
 	nl, refs, err := cover.BuildNetlist(lm.sub, func(v logic.NodeID) *match.Match {
@@ -475,10 +459,9 @@ func (lm *lily) run() (*Result, error) {
 	return &Result{Netlist: nl, Placement: lm.pl, Stats: lm.stats, Trace: lm.trace}, nil
 }
 
-// runConesSequential is the reference schedule: map and commit one cone
-// at a time in cone order, re-placing every ReplaceEvery cones. The
-// parallel schedule (parallel.go) must be observationally identical to
-// this loop.
+// runConesSequential is cover's one schedule: map and commit one cone at
+// a time in cone order (§3.5), re-placing the partially mapped network
+// every ReplaceEvery cones. Each cone boundary is a cancellation point.
 func (lm *lily) runConesSequential(order []int) error {
 	for i, poIdx := range order {
 		if err := lm.ctx.Err(); err != nil {
@@ -488,29 +471,19 @@ func (lm *lily) runConesSequential(order []int) error {
 		if err := lm.processCone(root); err != nil {
 			return err
 		}
-		if err := lm.finishCone(root, i, len(order)); err != nil {
+		if err := lm.commitCone(root); err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// finishCone is the shared post-evaluation tail of both schedules: commit
-// the cone's choices, account for it, and trigger the periodic global
-// re-placement. i is the cone's position in the order, n the order length.
-func (lm *lily) finishCone(root logic.NodeID, i, n int) error {
-	if err := lm.commitCone(root); err != nil {
-		return err
-	}
-	lm.stats.ConesProcessed++
-	lm.fm.ConesMapped.Inc()
-	if lm.opt.ReplaceEvery > 0 && i+1 < n &&
-		lm.stats.ConesProcessed%lm.opt.ReplaceEvery == 0 {
-		if err := lm.replaceGlobal(); err != nil {
-			return err
+		lm.stats.ConesProcessed++
+		lm.fm.ConesMapped.Inc()
+		if lm.opt.ReplaceEvery > 0 && i+1 < len(order) &&
+			lm.stats.ConesProcessed%lm.opt.ReplaceEvery == 0 {
+			if err := lm.replaceGlobal(); err != nil {
+				return err
+			}
+			lm.stats.Replacements++
+			lm.fm.Replacements.Inc()
 		}
-		lm.stats.Replacements++
-		lm.fm.Replacements.Inc()
 	}
 	return nil
 }

@@ -44,9 +44,9 @@ const MaxK = 6
 // them as match lists. It is the LUT Backend of the covering engine.
 // Like match.Matcher, results are memoized per node: the subject graph
 // is immutable for the lifetime of a cover run, so each node's cut set
-// and match list are computed exactly once. A memo hit is a pure read,
-// which is what lets the wave-parallel scheduler share one Enumerator
-// across workers after a sequential pre-warm.
+// and match list are computed exactly once. A memo hit is a pure read
+// returning the same slice, so a dove re-evaluated in a later cone costs
+// no re-enumeration.
 type Enumerator struct {
 	net *logic.Network
 	lib *library.Library

@@ -110,9 +110,9 @@ func TestKFeasibilityProperties(t *testing.T) {
 	}
 }
 
-// TestMatchesMemoized pins the Backend contract the wave-parallel
-// scheduler relies on: after the first call, MatchesAt is a pure read
-// returning the identical slice.
+// TestMatchesMemoized pins the Backend memo contract: after the first
+// call, MatchesAt is a pure read returning the identical slice, so doves
+// re-evaluated in later cones cost no re-enumeration.
 func TestMatchesMemoized(t *testing.T) {
 	sub := subjectFor(t, "b9")
 	e := NewEnumerator(sub, library.Big(), 4)

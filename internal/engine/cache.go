@@ -48,6 +48,12 @@ func normalizeOptions(opt lily.FlowOptions) lily.FlowOptions {
 	if opt.WireWeight == 0 {
 		opt.WireWeight = 1.0 // runPipeline's default
 	}
+	if opt.ReplaceEvery < 0 {
+		opt.ReplaceEvery = 0 // core re-places only when positive
+	}
+	if opt.ClockPeriodNS <= 0 {
+		opt.ClockPeriodNS = 0 // runPipeline runs slack analysis only when positive
+	}
 	if !opt.FanoutOptimize {
 		opt.MaxFanout = 0 // ignored unless fanout optimization is on
 	} else if opt.MaxFanout < 2 {
@@ -67,10 +73,9 @@ func normalizeOptions(opt lily.FlowOptions) lily.FlowOptions {
 	if opt.Mapper != lily.MapperMIS {
 		opt.TreeMode = false // MIS-only knob
 	}
-	// Parallelism is a throughput knob: the wave-parallel mapper and the
-	// placement reduction trees are bit-identical at every setting
-	// (DESIGN.md §13), so it must not fragment the cache or reshuffle
-	// cluster ownership.
+	// Parallelism is a throughput knob: the placement reductions are
+	// bit-identical at every setting (DESIGN.md §13), so it must not
+	// fragment the cache or reshuffle cluster ownership.
 	opt.Parallelism = 0
 	// MultilevelThreshold is semantically significant (placements differ
 	// across thresholds), but every negative value spells "disabled".

@@ -104,6 +104,27 @@ func TestRequestDigestSensitivity(t *testing.T) {
 	if d, _ := RequestDigest(mlOff2); d != dOff {
 		t.Fatalf("negative MultilevelThreshold spellings fragment the cache: every negative value means disabled")
 	}
+	for _, tc := range []struct {
+		name string
+		a, b func(*lily.FlowOptions)
+	}{
+		// Core re-places only when ReplaceEvery > 0.
+		{"ReplaceEvery -1 vs 0",
+			func(o *lily.FlowOptions) { o.ReplaceEvery = -1 },
+			func(o *lily.FlowOptions) { o.ReplaceEvery = 0 }},
+		// The flow runs slack analysis only when ClockPeriodNS > 0.
+		{"ClockPeriodNS -5 vs 0",
+			func(o *lily.FlowOptions) { o.ClockPeriodNS = -5 },
+			func(o *lily.FlowOptions) { o.ClockPeriodNS = 0 }},
+	} {
+		ra, rb := base, base
+		tc.a(&ra.Options)
+		tc.b(&rb.Options)
+		da, _ := RequestDigest(ra)
+		if db, _ := RequestDigest(rb); da != db {
+			t.Errorf("%s: equivalent spellings fragment the cache (%s vs %s)", tc.name, da, db)
+		}
+	}
 	delay := base
 	delay.Options.Objective = lily.ObjectiveDelay
 	if d, _ := RequestDigest(delay); d == d0 {

@@ -97,7 +97,7 @@ type Config struct {
 	// throughput — results are bit-identical at every setting and the
 	// request digest excludes it — so the server can raise it fleet-wide
 	// without invalidating caches. 0 leaves requests untouched
-	// (sequential mapping).
+	// (sequential placement).
 	Parallelism int
 	// Run overrides the job executor (tests); nil runs the lily pipeline.
 	Run RunFunc

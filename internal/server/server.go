@@ -264,9 +264,9 @@ type JobOptions struct {
 	ReplaceEvery              int     `json:"replace_every,omitempty"`
 	TreeMode                  bool    `json:"tree_mode,omitempty"`
 	LayoutDrivenDecomposition bool    `json:"layout_driven_decomposition,omitempty"`
-	// Parallelism bounds intra-job workers for the cover DP and the
-	// placement solves. Throughput only: the result is bit-identical at
-	// any setting and the request digest excludes it. 0 defers to the
+	// Parallelism bounds intra-job workers for the placement solves;
+	// cover is sequential. Throughput only: the result is bit-identical
+	// at any setting and the request digest excludes it. 0 defers to the
 	// server-wide default (lilyd -parallelism).
 	Parallelism int `json:"parallelism,omitempty"`
 	// MultilevelThreshold sets the movable-cell count above which global

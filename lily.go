@@ -317,11 +317,12 @@ type FlowOptions struct {
 	// placement proximity, preserving the mapper's option to split large
 	// matches along spatial cluster boundaries.
 	LayoutDrivenDecomposition bool
-	// Parallelism bounds the intra-run worker count for Lily's
-	// wave-parallel cone mapping and the placer's partitioned solves
-	// (DESIGN.md §13). It is a throughput knob only: the mapped output
-	// is byte-identical at every setting, so it does not participate in
-	// the engine's request digest. 0 or 1 runs sequentially.
+	// Parallelism bounds the intra-run worker count of every global
+	// placement in the flow: CG mat-vec products, the X/Y solves, region
+	// splits and HPWL (DESIGN.md §13). Cover always runs one sequential
+	// cone schedule. It is a throughput knob only: the mapped output is
+	// byte-identical at every setting, so it does not participate in the
+	// engine's request digest. 0 or 1 runs sequentially.
 	Parallelism int
 	// MultilevelThreshold sets the movable-cell count above which every
 	// global placement in the flow (the mapper's seed placement, its
@@ -593,7 +594,6 @@ func runPipeline(ctx context.Context, c *Circuit, opt FlowOptions) (*FlowResult,
 		copt.ReplaceEvery = opt.ReplaceEvery
 		copt.Place.NaivePads = opt.NaivePads
 		copt.TwoPassDelay = opt.TwoPassDelay
-		copt.Parallelism = opt.Parallelism
 		copt.Place.Parallelism = opt.Parallelism
 		applyMultilevel(&copt.Place, opt)
 		res, err := core.MapContext(ctx, sub, lib, copt)

@@ -70,8 +70,9 @@ func TestScaleSmoke(t *testing.T) {
 		return buf.Bytes()
 	}
 	// The second run drops to Parallelism=1, so the byte-equality check
-	// covers both run-to-run determinism and parallelism invariance at
-	// frontier scale — the GOMAXPROCS×Parallelism soak's property,
+	// covers both run-to-run determinism and the invariance of the
+	// parallel placement reductions at frontier scale, where multilevel
+	// placement engages — the GOMAXPROCS×Parallelism soak's property,
 	// extended to a ≥50k-gate circuit.
 	first := run(1, runtime.NumCPU())
 	second := run(2, 1)

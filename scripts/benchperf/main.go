@@ -48,7 +48,6 @@ type benchTarget struct {
 
 var targets = []benchTarget{
 	{Pattern: "^BenchmarkPipelineC5315$", Pkg: "."},
-	{Pattern: "^BenchmarkPipelineC5315Parallel$", Pkg: "."},
 	{Pattern: "^BenchmarkPipelineC5315LUT[46]$", Pkg: "."},
 	{Pattern: "^BenchmarkTable1Full$", Pkg: "."},
 	{Pattern: "^BenchmarkEngineSuite$", Pkg: "./internal/engine/"},
@@ -88,14 +87,6 @@ type snapshot struct {
 	WireCostEvaluationsByTarget map[string]uint64 `json:"wire_cost_evaluations_by_target,omitempty"`
 	// ConesMapped is the committed-cone count over the same sample.
 	ConesMapped uint64 `json:"cones_mapped"`
-	// NumCPU records the host width the snapshot was taken at, for
-	// interpreting ParallelSpeedup (a 1-CPU host can only report ~1×).
-	NumCPU int `json:"num_cpu"`
-	// ParallelSpeedup is ns/op of the sequential C5315 pipeline over the
-	// Parallelism=NumCPU run — the wave-parallel mapper's wall-clock win
-	// (DESIGN.md §13). Gated at -min-speedup on hosts wide enough for
-	// the target to be meaningful.
-	ParallelSpeedup float64 `json:"parallel_speedup,omitempty"`
 	// GatesPerSecond is the full-pipeline throughput (generated nodes per
 	// wall-clock second) for each scale profile in gpsProfiles — the
 	// frontier-scaling series the ROADMAP tracks. Wall-clock-based, so it
@@ -109,8 +100,6 @@ func main() {
 	tol := flag.Float64("tolerance", 0.10, "allowed fractional regression for deterministic metrics (allocs/op, wire evals)")
 	timeTol := flag.Float64("time-tolerance", 0.50, "allowed fractional regression for ns/op")
 	minNs := flag.Float64("min-ns", 5e8, "per-benchmark ns/op gate applies only above this baseline")
-	minSpeedup := flag.Float64("min-speedup", 1.8,
-		"required C5315 parallel speedup (sequential ns/op over Parallelism=NumCPU); enforced on hosts with >= 4 CPUs")
 	flag.Parse()
 	if *out == "" && *baseline == "" {
 		fmt.Fprintln(os.Stderr, "benchperf: need -out and/or -baseline")
@@ -137,15 +126,6 @@ func main() {
 			os.Exit(1)
 		}
 		errs := compare(base, snap, *tol, *timeTol, *minNs)
-		// The speedup gate reads the fresh run, not the baseline: it is
-		// an absolute floor for the wave-parallel mapper, only meaningful
-		// on hosts wide enough that 1.8x is reachable (a 2-CPU runner
-		// tops out below it on Amdahl grounds alone).
-		if runtime.NumCPU() >= 4 && snap.ParallelSpeedup > 0 && snap.ParallelSpeedup < *minSpeedup {
-			errs = append(errs, fmt.Sprintf(
-				"C5315 parallel speedup %.2fx < %.2fx floor at NumCPU=%d",
-				snap.ParallelSpeedup, *minSpeedup, runtime.NumCPU()))
-		}
 		if len(errs) > 0 {
 			for _, e := range errs {
 				fmt.Fprintf(os.Stderr, "benchperf: REGRESSION: %s\n", e)
@@ -192,11 +172,6 @@ func collect() (*snapshot, error) {
 		}
 		fmt.Printf("benchperf: %s: %.0f gates/s\n", name, gps)
 		snap.GatesPerSecond[name] = gps
-	}
-	snap.NumCPU = runtime.NumCPU()
-	seq, par := snap.Benchmarks["PipelineC5315"], snap.Benchmarks["PipelineC5315Parallel"]
-	if seq.NsPerOp > 0 && par.NsPerOp > 0 {
-		snap.ParallelSpeedup = seq.NsPerOp / par.NsPerOp
 	}
 	return snap, nil
 }
