@@ -16,11 +16,18 @@
 // deterministic: leaves are sorted by node ID, cut lists are ordered by
 // (leaf count, leaf IDs), and the synthesized gate for a given (K, truth
 // table) pair is cached so pointer identity is stable within a run.
+//
+// Every cut carries a 64-bit leaf signature that rejects over-wide merges
+// and non-dominating pairs with word operations before any leaf is
+// compared, and published leaf sets, cones and matches are cut from
+// per-enumerator arenas (DESIGN.md §14, "cut representation").
 package cut
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
+	"strconv"
 
 	"lily/internal/library"
 	"lily/internal/logic"
@@ -38,7 +45,18 @@ const maxCuts = 16
 
 // MaxK is the largest supported LUT input count: cone truth tables are
 // computed in a single 64-bit word (2^6 rows).
-const MaxK = 6
+const MaxK = library.MaxLUTInputs
+
+// cut is one K-feasible cut: its leaf set, sorted ascending, and its
+// signature, the OR of 1<<(id&63) over the leaves. Distinct leaves may
+// share a signature bit, so popcount(sig) <= len(leaves), and a subset's
+// signature is a subset of the superset's signature.
+type cut struct {
+	leaves []logic.NodeID
+	sig    uint64
+}
+
+func leafBit(id logic.NodeID) uint64 { return 1 << (uint(id) & 63) }
 
 // Enumerator finds the K-feasible cuts of a subject graph and exposes
 // them as match lists. It is the LUT Backend of the covering engine.
@@ -53,10 +71,9 @@ type Enumerator struct {
 	cls *match.Classifier
 	k   int
 
-	// cuts[v] holds node v's cut leaf sets (each sorted ascending), the
-	// trivial cut {v} first; cutsOK marks computed entries.
-	cuts   [][][]logic.NodeID
-	cutsOK []bool
+	// cuts[v] holds node v's cuts, the trivial cut {v} first; nil until
+	// computed.
+	cuts [][]cut
 	// memo holds the per-node MatchesAt results (nil for nodes that take
 	// no LUT, e.g. PIs); memoOK marks computed entries.
 	memo   [][]*match.Match
@@ -66,11 +83,26 @@ type Enumerator struct {
 	// equal-function cuts share one *library.Gate within the run.
 	gates map[gateKey]*library.Gate
 
-	// scratch state for cone walks and truth-table evaluation: node u is
-	// a leaf of the current cut iff leafStamp[u] == stamp, and tt[u] is
-	// valid iff ttStamp[u] == stamp.
+	// Published cut lists, leaf sets, cones and matches are cut from
+	// these arenas and never written again.
+	cutArena   arena[cut]
+	idArena    arena[logic.NodeID]
+	matchArena arena[match.Match]
+	ptrArena   arena[*match.Match]
+
+	// Per-call scratch, reused across nodes: merge candidates and their
+	// leaves, and the cone walk's stack and output.
+	cands    []cut
+	mergeBuf []logic.NodeID
+	stack    []logic.NodeID
+	coneBuf  []logic.NodeID
+
+	// Cone-walk state: node u is a leaf of the current cut iff
+	// leafStamp[u] == stamp, an interior node already reached iff
+	// seenStamp[u] == stamp, and tt[u] holds u's function over the leaves
+	// once u is a leaf or its walk has finished.
 	leafStamp []uint32
-	ttStamp   []uint32
+	seenStamp []uint32
 	tt        []uint64
 	stamp     uint32
 }
@@ -78,6 +110,29 @@ type Enumerator struct {
 type gateKey struct {
 	k  int
 	tt uint64
+}
+
+// arena hands out fixed-length slices cut from shared chunks, so many
+// small immutable slices cost one allocation per chunk. A returned slice
+// is capped at its length: appending to it reallocates instead of
+// overwriting a neighbor.
+type arena[T any] struct{ buf []T }
+
+const arenaChunk = 1024
+
+func (a *arena[T]) alloc(n int) []T {
+	if n > cap(a.buf)-len(a.buf) {
+		a.buf = make([]T, 0, max(n, arenaChunk))
+	}
+	start := len(a.buf)
+	a.buf = a.buf[:start+n]
+	return a.buf[start : start+n : start+n]
+}
+
+func (a *arena[T]) copy(s []T) []T {
+	out := a.alloc(len(s))
+	copy(out, s)
+	return out
 }
 
 // NewEnumerator builds a K-feasible cut enumerator over the subject
@@ -92,13 +147,12 @@ func NewEnumerator(net *logic.Network, lib *library.Library, k int) *Enumerator 
 		lib:       lib,
 		cls:       match.Classify(net),
 		k:         k,
-		cuts:      make([][][]logic.NodeID, n),
-		cutsOK:    make([]bool, n),
+		cuts:      make([][]cut, n),
 		memo:      make([][]*match.Match, n),
 		memoOK:    make([]bool, n),
 		gates:     make(map[gateKey]*library.Gate),
 		leafStamp: make([]uint32, n),
-		ttStamp:   make([]uint32, n),
+		seenStamp: make([]uint32, n),
 		tt:        make([]uint64, n),
 	}
 }
@@ -123,16 +177,21 @@ func (e *Enumerator) matchesAt(v logic.NodeID) []*match.Match {
 	if t := e.cls.Type(v); t != match.TypeNand2 && t != match.TypeInv {
 		return nil
 	}
-	var out []*match.Match
-	for _, leaves := range e.nodeCuts(v) {
-		if len(leaves) == 1 && leaves[0] == v {
-			continue // the trivial cut exists only to seed fanout merges
+	// The trivial cut comes first and exists only to seed fanout merges.
+	cuts := e.nodeCuts(v)[1:]
+	if len(cuts) == 0 {
+		return nil
+	}
+	ms := e.matchArena.alloc(len(cuts))
+	out := e.ptrArena.alloc(len(cuts))
+	for i, c := range cuts {
+		tt, cone := e.coneTable(v, c.leaves)
+		ms[i] = match.Match{
+			Gate:   e.lutGate(len(c.leaves), tt),
+			Inputs: c.leaves,
+			Merged: cone,
 		}
-		out = append(out, &match.Match{
-			Gate:   e.lutGate(len(leaves), e.truthTable(v, leaves)),
-			Inputs: leaves,
-			Merged: e.cone(v, leaves),
-		})
+		out[i] = &ms[i]
 	}
 	return out
 }
@@ -140,68 +199,80 @@ func (e *Enumerator) matchesAt(v logic.NodeID) []*match.Match {
 // nodeCuts returns v's cut set, trivial cut first, memoized. Non-trivial
 // cuts are irredundant, capped at maxCuts with leaf-count diversity, and
 // ordered by (leaf count, leaf IDs ascending).
-func (e *Enumerator) nodeCuts(v logic.NodeID) [][]logic.NodeID {
-	if e.cutsOK[v] {
+func (e *Enumerator) nodeCuts(v logic.NodeID) []cut {
+	if e.cuts[v] != nil {
 		return e.cuts[v]
 	}
-	trivial := []logic.NodeID{v}
-	var merged [][]logic.NodeID
+	// PIs and foreign nodes match no case below: they get only the
+	// trivial cut.
+	var cands []cut
+	inScratch := false // candidate leaves live in mergeBuf, not an arena
 	switch e.cls.Type(v) {
 	case match.TypeInv:
-		f := e.net.Nodes[v].Fanins[0]
 		// Every cut of the fanin is a cut of v (same leaves, one more
-		// interior node). Copy the slice headers, not the leaf arrays:
-		// cut leaf sets are immutable once built.
-		merged = append(merged, e.nodeCuts(f)[0:]...)
+		// interior node), so v shares the fanin's published leaf sets.
+		fc := e.nodeCuts(e.net.Nodes[v].Fanins[0])
+		cands = append(e.cands[:0], fc...)
 	case match.TypeNand2:
 		f := e.net.Nodes[v].Fanins
+		// Both fanins are enumerated before the scratch buffers are
+		// touched: the recursion reuses them.
 		c0, c1 := e.nodeCuts(f[0]), e.nodeCuts(f[1])
+		need := len(c0) * len(c1) * e.k
+		if cap(e.mergeBuf) < need {
+			e.mergeBuf = make([]logic.NodeID, need)
+		}
+		buf := e.mergeBuf[:need]
+		cands = e.cands[:0]
+		off := 0
 		for _, a := range c0 {
 			for _, b := range c1 {
-				if u, ok := mergeLeaves(a, b, e.k); ok {
-					merged = append(merged, u)
+				sig := a.sig | b.sig
+				if bits.OnesCount64(sig) > e.k {
+					continue // the union has at least popcount(sig) leaves
+				}
+				if n, ok := mergeLeaves(buf[off:off+e.k], a.leaves, b.leaves, e.k); ok {
+					cands = append(cands, cut{leaves: buf[off : off+n : off+n], sig: sig})
+					off += n
 				}
 			}
 		}
-	default:
-		// PIs and foreign nodes contribute only themselves as a leaf.
-		e.cuts[v] = [][]logic.NodeID{trivial}
-		e.cutsOK[v] = true
-		return e.cuts[v]
+		inScratch = true
 	}
-	merged = selectCuts(pruneCuts(merged), e.k)
-	e.cuts[v] = append([][]logic.NodeID{trivial}, merged...)
-	e.cutsOK[v] = true
-	return e.cuts[v]
+	e.cands = cands
+	kept := selectCuts(pruneCuts(cands), e.k)
+	out := e.cutArena.alloc(1 + len(kept))
+	out[0] = cut{leaves: e.idArena.alloc(1), sig: leafBit(v)}
+	out[0].leaves[0] = v
+	for i, c := range kept {
+		if inScratch {
+			c.leaves = e.idArena.copy(c.leaves)
+		}
+		out[i+1] = c
+	}
+	e.cuts[v] = out
+	return out
 }
 
 // selectCuts enforces the maxCuts cap with leaf-count diversity: cuts
 // (already in (leaf count, leaf IDs) order from pruneCuts) are taken
 // round-robin across leaf-count groups until the cap fills, then the
-// survivors are returned in the original order.
-func selectCuts(cuts [][]logic.NodeID, k int) [][]logic.NodeID {
+// survivors are returned in the original order. Round-robin takes a
+// prefix of each group, so the survivors are those prefixes, compacted
+// in place.
+func selectCuts(cuts []cut, k int) []cut {
 	if len(cuts) <= maxCuts {
 		return cuts
 	}
-	// groups[w] indexes the first cut with w+1 leaves; cuts are sorted by
-	// length, so each group is a contiguous run.
-	type span struct{ start, end int }
-	groups := make([]span, k)
-	for i, c := range cuts {
-		w := len(c) - 1
-		if groups[w].end == 0 {
-			groups[w].start = i
-		}
-		groups[w].end = i + 1
+	var count, take [MaxK]int
+	for _, c := range cuts {
+		count[len(c.leaves)-1]++
 	}
-	keep := make([]bool, len(cuts))
-	kept := 0
-	for round := 0; kept < maxCuts; round++ {
+	for kept := 0; kept < maxCuts; {
 		took := false
 		for w := 0; w < k && kept < maxCuts; w++ {
-			g := groups[w]
-			if i := g.start + round; i < g.end {
-				keep[i] = true
+			if take[w] < count[w] {
+				take[w]++
 				kept++
 				took = true
 			}
@@ -211,55 +282,58 @@ func selectCuts(cuts [][]logic.NodeID, k int) [][]logic.NodeID {
 		}
 	}
 	out := cuts[:0]
-	for i, c := range cuts {
-		if keep[i] {
-			out = append(out, c)
-		}
+	start := 0
+	for w := 0; w < k; w++ {
+		out = append(out, cuts[start:start+take[w]]...)
+		start += count[w]
 	}
 	return out
 }
 
-// mergeLeaves unions two sorted leaf sets, rejecting results wider than k.
-// The inputs are never mutated; the result is freshly allocated.
-func mergeLeaves(a, b []logic.NodeID, k int) ([]logic.NodeID, bool) {
-	out := make([]logic.NodeID, 0, len(a)+len(b))
-	i, j := 0, 0
+// mergeLeaves writes the sorted union of the sorted leaf sets a and b
+// into dst (room for k leaves) and returns its length, rejecting unions
+// wider than k. The inputs are never mutated.
+func mergeLeaves(dst, a, b []logic.NodeID, k int) (int, bool) {
+	n, i, j := 0, 0, 0
 	for i < len(a) && j < len(b) {
+		if n == k {
+			return 0, false
+		}
 		switch {
 		case a[i] < b[j]:
-			out = append(out, a[i])
+			dst[n] = a[i]
 			i++
 		case a[i] > b[j]:
-			out = append(out, b[j])
+			dst[n] = b[j]
 			j++
 		default:
-			out = append(out, a[i])
+			dst[n] = a[i]
 			i++
 			j++
 		}
-		if len(out) > k {
-			return nil, false
-		}
+		n++
 	}
-	if len(out)+len(a)-i+len(b)-j > k {
-		return nil, false
+	if n+len(a)-i+len(b)-j > k {
+		return 0, false
 	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out, true
+	n += copy(dst[n:], a[i:])
+	n += copy(dst[n:], b[j:])
+	return n, true
 }
 
 // pruneCuts sorts cuts by (leaf count, leaf IDs) and removes duplicates
 // and dominated cuts (supersets of an earlier, smaller cut). Sorting
 // shorter sets first means any dominating cut precedes its supersets, so
-// a single forward pass suffices.
-func pruneCuts(cuts [][]logic.NodeID) [][]logic.NodeID {
-	sort.Slice(cuts, func(i, j int) bool { return leavesLess(cuts[i], cuts[j]) })
+// a single forward pass suffices. A kept cut whose signature has a bit
+// outside c's signature holds a leaf c lacks, so the leaf comparison is
+// skipped for it.
+func pruneCuts(cuts []cut) []cut {
+	slices.SortFunc(cuts, func(a, b cut) int { return compareLeaves(a.leaves, b.leaves) })
 	out := cuts[:0]
 	for _, c := range cuts {
 		dominated := false
 		for _, kept := range out {
-			if isSubset(kept, c) {
+			if kept.sig&^c.sig == 0 && isSubset(kept.leaves, c.leaves) {
 				dominated = true
 				break
 			}
@@ -271,17 +345,20 @@ func pruneCuts(cuts [][]logic.NodeID) [][]logic.NodeID {
 	return out
 }
 
-// leavesLess orders leaf sets by size, then element-wise by node ID.
-func leavesLess(a, b []logic.NodeID) bool {
+// compareLeaves orders leaf sets by size, then element-wise by node ID.
+func compareLeaves(a, b []logic.NodeID) int {
 	if len(a) != len(b) {
-		return len(a) < len(b)
+		return len(a) - len(b)
 	}
 	for i := range a {
 		if a[i] != b[i] {
-			return a[i] < b[i]
+			if a[i] < b[i] {
+				return -1
+			}
+			return 1
 		}
 	}
-	return false
+	return 0
 }
 
 // isSubset reports a ⊆ b for sorted slices (equality included).
@@ -302,84 +379,67 @@ func isSubset(a, b []logic.NodeID) bool {
 	return true
 }
 
-// bumpStamp advances the O(1)-clear epoch for the leaf/truth-table
-// scratch sets.
+// bumpStamp advances the O(1)-clear epoch for the cone-walk scratch sets.
 func (e *Enumerator) bumpStamp() {
 	e.stamp++
 	if e.stamp == 0 { // wrapped: reset the backing arrays once per 2^32 clears
 		for i := range e.leafStamp {
 			e.leafStamp[i] = 0
-			e.ttStamp[i] = 0
+			e.seenStamp[i] = 0
 		}
 		e.stamp = 1
 	}
 }
 
-// cone collects the cut's interior nodes — everything reachable from v
-// without crossing a leaf — in deterministic preorder, root first (the
-// match.Match Merged convention). The cut property guarantees every
-// interior node is a NAND2/INV whose function the leaves determine.
-func (e *Enumerator) cone(v logic.NodeID, leaves []logic.NodeID) []logic.NodeID {
-	e.bumpStamp()
-	for _, l := range leaves {
-		e.leafStamp[l] = e.stamp
-	}
-	var out []logic.NodeID
-	var walk func(u logic.NodeID)
-	walk = func(u logic.NodeID) {
-		if e.leafStamp[u] == e.stamp || e.ttStamp[u] == e.stamp {
-			return // leaf, or interior node already collected
-		}
-		e.ttStamp[u] = e.stamp
-		out = append(out, u)
-		for _, f := range e.net.Nodes[u].Fanins {
-			walk(f)
-		}
-	}
-	walk(v)
-	return out
-}
-
-// truthTable computes the cut function as a truth table over the leaves
-// (leaf i is input variable i; row r holds the output for the assignment
-// where leaf i takes bit i of r), by 64-bit parallel simulation of the
-// cone: every interior NAND2/INV evaluates once on whole-table words.
-func (e *Enumerator) truthTable(v logic.NodeID, leaves []logic.NodeID) uint64 {
-	k := len(leaves)
-	rows := 1 << uint(k)
+// coneTable walks the cut's cone once. It returns the cut function as a
+// truth table over the leaves (leaf i is input variable i; row r holds
+// the output for the assignment where leaf i takes bit i of r) and the
+// cone's interior nodes — everything reachable from v without crossing a
+// leaf — in deterministic preorder, root first (the match.Match Merged
+// convention). The walk is a depth-first search on an explicit stack: a
+// node's fanins are pushed in reverse so they pop in order, and the
+// complemented ID pushed beneath them marks the point where they are all
+// done and the node's NAND2/INV can be evaluated on whole-table words.
+// The cut property guarantees every interior node is a NAND2/INV whose
+// function the leaves determine.
+func (e *Enumerator) coneTable(v logic.NodeID, leaves []logic.NodeID) (uint64, []logic.NodeID) {
 	e.bumpStamp()
 	for i, l := range leaves {
 		e.leafStamp[l] = e.stamp
-		var t uint64
-		for r := 0; r < rows; r++ {
-			if r>>uint(i)&1 == 1 {
-				t |= 1 << uint(r)
+		e.tt[l] = library.VarTable[i]
+	}
+	cone := e.coneBuf[:0]
+	stack := append(e.stack[:0], v)
+	for len(stack) > 0 {
+		u := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if u < 0 {
+			u = ^u
+			f := e.net.Nodes[u].Fanins
+			if len(f) == 1 {
+				e.tt[u] = ^e.tt[f[0]]
+			} else {
+				e.tt[u] = ^(e.tt[f[0]] & e.tt[f[1]])
 			}
+			continue
 		}
-		e.tt[l] = t
-		e.ttStamp[l] = e.stamp
-	}
-	var eval func(u logic.NodeID) uint64
-	eval = func(u logic.NodeID) uint64 {
-		if e.ttStamp[u] == e.stamp {
-			return e.tt[u]
+		if e.leafStamp[u] == e.stamp || e.seenStamp[u] == e.stamp {
+			continue // leaf, or interior node already collected
 		}
+		e.seenStamp[u] = e.stamp
+		cone = append(cone, u)
+		stack = append(stack, ^u)
 		f := e.net.Nodes[u].Fanins
-		var t uint64
-		if len(f) == 1 {
-			t = ^eval(f[0])
-		} else {
-			t = ^(eval(f[0]) & eval(f[1]))
+		for j := len(f) - 1; j >= 0; j-- {
+			stack = append(stack, f[j])
 		}
-		e.tt[u] = t
-		e.ttStamp[u] = e.stamp
-		return t
 	}
-	mask := ^uint64(0)
-	if rows < 64 {
-		mask = (uint64(1) << uint(rows)) - 1
+	e.coneBuf, e.stack = cone, stack
+	tt := e.tt[v]
+	if rows := 1 << uint(len(leaves)); rows < 64 {
+		tt &= uint64(1)<<uint(rows) - 1
 	}
-	return eval(v) & mask
+	return tt, e.idArena.copy(cone)
 }
 
 // lutGate returns the synthesized LUT cell for a k-input truth table in
@@ -393,27 +453,22 @@ func (e *Enumerator) lutGate(k int, tt uint64) *library.Gate {
 	if g, ok := e.gates[key]; ok {
 		return g
 	}
-	cover := logic.NewSOP(k)
-	rows := 1 << uint(k)
-	for r := 0; r < rows; r++ {
-		if tt>>uint(r)&1 == 0 {
-			continue
-		}
-		cube := make(logic.Cube, k)
-		for i := 0; i < k; i++ {
-			if r>>uint(i)&1 == 1 {
-				cube[i] = logic.LitPos
-			} else {
-				cube[i] = logic.LitNeg
-			}
-		}
-		cover.AddCube(cube)
-	}
-	hexWidth := rows / 4
-	if hexWidth < 1 {
-		hexWidth = 1
-	}
-	g := library.NewLUT(fmt.Sprintf("lut%d_%0*x", k, hexWidth, tt), cover, e.k)
+	g := library.NewLUTTable(lutName(k, tt), k, tt, e.k)
 	e.gates[key] = g
 	return g
+}
+
+// lutName is "lut<k>_<tt>", the table in lower-case hex zero-padded to
+// one digit per four rows (at least one digit).
+func lutName(k int, tt uint64) string {
+	var buf [24]byte
+	b := append(buf[:0], "lut"...)
+	b = strconv.AppendInt(b, int64(k), 10)
+	b = append(b, '_')
+	var hex [16]byte
+	h := strconv.AppendUint(hex[:0], tt, 16)
+	for pad := max(1, (1<<uint(k))/4) - len(h); pad > 0; pad-- {
+		b = append(b, '0')
+	}
+	return string(append(b, h...))
 }

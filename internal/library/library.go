@@ -14,6 +14,7 @@ package library
 
 import (
 	"fmt"
+	"math/bits"
 
 	"lily/internal/logic"
 )
@@ -78,41 +79,51 @@ func (u Unateness) String() string {
 	}
 }
 
-// computeUnateness classifies each input of a cover.
+// computeUnateness classifies each input of a cover (at most
+// MaxLUTInputs inputs) through its truth table, so library cells and LUT
+// cells share one unateness routine.
 func computeUnateness(cover logic.SOP) []Unateness {
-	n := cover.NumInputs
-	out := make([]Unateness, n)
-	vals := make([]bool, n)
-	for i := 0; i < n; i++ {
-		canRise, canFall := false, false // output transition when input i rises
-		for r := 0; r < 1<<n; r++ {
-			if r&(1<<i) != 0 {
-				continue // enumerate with x_i = 0
-			}
-			for j := 0; j < n; j++ {
-				vals[j] = r&(1<<j) != 0
-			}
-			f0 := cover.Eval(vals)
-			vals[i] = true
-			f1 := cover.Eval(vals)
-			vals[i] = false
-			if !f0 && f1 {
-				canRise = true
-			}
-			if f0 && !f1 {
-				canFall = true
-			}
-		}
+	if cover.NumInputs > MaxLUTInputs {
+		panic(fmt.Sprintf("library: unateness of a %d-input cover (limit %d)", cover.NumInputs, MaxLUTInputs))
+	}
+	out := make([]Unateness, cover.NumInputs)
+	ttUnateness(cover.NumInputs, cover.TruthTable()[0], out)
+	return out
+}
+
+// VarTable[i] is the truth table of input i in every 64-row word: row r
+// is 1 iff bit i of r is.
+var VarTable = [MaxLUTInputs]uint64{
+	0xaaaaaaaaaaaaaaaa,
+	0xcccccccccccccccc,
+	0xf0f0f0f0f0f0f0f0,
+	0xff00ff00ff00ff00,
+	0xffff0000ffff0000,
+	0xffffffff00000000,
+}
+
+// ttUnateness classifies each of the k inputs of the truth table tt (row
+// r, input i = bit i of r, is bit r; bits at and above row 2^k must be
+// 0) into out. Input i can make the output rise iff some row with x_i = 0
+// has f = 0 while its x_i = 1 partner has f = 1: with f0 the table's
+// x_i = 0 rows and f1 its x_i = 1 rows shifted down onto them, that is
+// f1 &^ f0 ≠ 0, and falling is f0 &^ f1 ≠ 0. This is the definition the
+// rise/fall routing in timing relies on, decided with a few word
+// operations per input instead of 2^k cover evaluations.
+func ttUnateness(k int, tt uint64, out []Unateness) {
+	for i := 0; i < k; i++ {
+		f0 := tt &^ VarTable[i]
+		f1 := (tt & VarTable[i]) >> (uint(1) << uint(i))
+		rise, fall := f1&^f0 != 0, f0&^f1 != 0
 		switch {
-		case canRise && canFall:
+		case rise && fall:
 			out[i] = Binate
-		case canFall:
+		case fall:
 			out[i] = UnateNeg
 		default:
 			out[i] = UnatePos
 		}
 	}
-	return out
 }
 
 func (g *Gate) String() string {
@@ -287,6 +298,10 @@ const (
 	lutDrive       = 0.9  // output driver strength relative to a 1x cell
 )
 
+// MaxLUTInputs is the widest LUT tile: a tile's truth table fits one
+// 64-bit word.
+const MaxLUTInputs = 6
+
 // NewLUT constructs a lookup-table cell implementing the given cover
 // inside a tileK-input LUT tile (cover.NumInputs <= tileK <= 6). The
 // footprint and delay are those of the tile, not the function: an FPGA
@@ -298,30 +313,80 @@ const (
 // select tree gives every input the same path to the output, with
 // intrinsic delay growing in the tree depth tileK.
 func NewLUT(name string, cover logic.SOP, tileK int) *Gate {
-	k := cover.NumInputs
-	if tileK < k {
-		panic(fmt.Sprintf("library: %d-input cover does not fit a %d-LUT tile", k, tileK))
+	g := newLUTGate(name, cover.NumInputs, tileK)
+	g.Cover = cover
+	ttUnateness(g.NumInputs, cover.TruthTable()[0], g.Unate)
+	return g
+}
+
+// NewLUTTable is NewLUT for the k-input function given as a truth table
+// (row r, input i = bit i of r, is bit r of tt; bits at and above row 2^k
+// are ignored). The cover is the table's minterm expansion in ascending
+// row order, every cube cut from one literal array, and unateness comes
+// from the table directly, so equal functions give the same cell as
+// NewLUT on that minterm cover.
+func NewLUTTable(name string, k int, tt uint64, tileK int) *Gate {
+	g := newLUTGate(name, k, tileK)
+	rows := 1 << uint(k)
+	if rows < 64 {
+		tt &= uint64(1)<<uint(rows) - 1
 	}
+	n := bits.OnesCount64(tt)
+	lits := make([]logic.Lit, n*k)
+	g.Cover = logic.SOP{NumInputs: k, Cubes: make([]logic.Cube, n)}
+	for c, r := 0, 0; c < n; r++ {
+		if tt>>uint(r)&1 == 0 {
+			continue
+		}
+		cube := lits[c*k : (c+1)*k : (c+1)*k]
+		for i := range cube {
+			cube[i] = logic.LitNeg
+			if r>>uint(i)&1 == 1 {
+				cube[i] = logic.LitPos
+			}
+		}
+		g.Cover.Cubes[c] = cube
+		c++
+	}
+	ttUnateness(k, tt, g.Unate)
+	return g
+}
+
+// lutCell holds a LUT gate together with its per-pin arrays, so the gate
+// shell is a single allocation.
+type lutCell struct {
+	gate   Gate
+	timing [MaxLUTInputs]PinTiming
+	unate  [MaxLUTInputs]Unateness
+}
+
+// newLUTGate returns a k-input LUT cell in a tileK tile with its
+// footprint and pin timing set; Cover and Unate are left to the caller.
+func newLUTGate(name string, k, tileK int) *Gate {
+	if tileK < k || tileK > MaxLUTInputs {
+		panic(fmt.Sprintf("library: %d-input function does not fit a %d-LUT tile (tiles go up to %d inputs)", k, tileK, MaxLUTInputs))
+	}
+	c := new(lutCell)
 	width := lutBaseWidthUm + lutBitWidthUm*float64(uint(1)<<tileK)
-	g := &Gate{
+	c.gate = Gate{
 		Name:      name,
 		NumInputs: k,
 		Width:     width,
 		Height:    rowHeightUm,
 		Area:      width * rowHeightUm,
 		InputCap:  inputCapPF,
-		Cover:     cover,
+		Timing:    c.timing[:k:k],
+		Unate:     c.unate[:k:k],
 	}
-	g.Unate = computeUnateness(g.Cover)
-	for i := 0; i < k; i++ {
-		g.Timing = append(g.Timing, PinTiming{
+	for i := range c.gate.Timing {
+		c.gate.Timing[i] = PinTiming{
 			IntrinsicRise: baseIntr * (0.6 + 0.3*float64(tileK)) * 1.1,
 			IntrinsicFall: baseIntr * (0.6 + 0.3*float64(tileK)),
 			ResistRise:    baseResist / lutDrive * 1.15,
 			ResistFall:    baseResist / lutDrive,
-		})
+		}
 	}
-	return g
+	return &c.gate
 }
 
 // buildBuffer constructs the pattern-less buffer cell. A buffer's

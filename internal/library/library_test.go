@@ -1,6 +1,8 @@
 package library
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"lily/internal/logic"
@@ -184,5 +186,169 @@ func TestDriveStrengthOrdersResistance(t *testing.T) {
 	n6 := lib.GateByName("nand6")
 	if inv.Timing[0].ResistFall >= n6.Timing[0].ResistFall {
 		t.Error("weak wide gate should have higher output resistance than inv")
+	}
+}
+
+// refUnateness is the reference definition of unateness: for each input
+// i it evaluates the cover on both sides of every x_i edge of the
+// Boolean cube and records whether the output can rise or fall.
+func refUnateness(cover logic.SOP) []Unateness {
+	n := cover.NumInputs
+	out := make([]Unateness, n)
+	vals := make([]bool, n)
+	for i := 0; i < n; i++ {
+		canRise, canFall := false, false // output transition when input i rises
+		for r := 0; r < 1<<n; r++ {
+			if r&(1<<i) != 0 {
+				continue // enumerate with x_i = 0
+			}
+			for j := 0; j < n; j++ {
+				vals[j] = r&(1<<j) != 0
+			}
+			f0 := cover.Eval(vals)
+			vals[i] = true
+			f1 := cover.Eval(vals)
+			vals[i] = false
+			if !f0 && f1 {
+				canRise = true
+			}
+			if f0 && !f1 {
+				canFall = true
+			}
+		}
+		switch {
+		case canRise && canFall:
+			out[i] = Binate
+		case canFall:
+			out[i] = UnateNeg
+		default:
+			out[i] = UnatePos
+		}
+	}
+	return out
+}
+
+// mintermCover is the k-input table's minterm expansion built cube by
+// cube, the cover the LUT path produced before NewLUTTable.
+func mintermCover(k int, tt uint64) logic.SOP {
+	cover := logic.NewSOP(k)
+	for r := 0; r < 1<<k; r++ {
+		if tt>>r&1 == 0 {
+			continue
+		}
+		cube := make(logic.Cube, k)
+		for i := range cube {
+			cube[i] = logic.LitNeg
+			if r>>i&1 == 1 {
+				cube[i] = logic.LitPos
+			}
+		}
+		cover.AddCube(cube)
+	}
+	return cover
+}
+
+func sameCover(a, b logic.SOP) bool {
+	if a.NumInputs != b.NumInputs || len(a.Cubes) != len(b.Cubes) {
+		return false
+	}
+	for i := range a.Cubes {
+		if !slices.Equal(a.Cubes[i], b.Cubes[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// checkTable checks the bitwise unateness of one k-input table against
+// the reference, and NewLUTTable against NewLUT on its minterm cover.
+func checkTable(t *testing.T, k int, tt uint64) []Unateness {
+	t.Helper()
+	cover := mintermCover(k, tt)
+	want := refUnateness(cover)
+	got := make([]Unateness, k)
+	ttUnateness(k, tt, got)
+	if !slices.Equal(got, want) {
+		t.Fatalf("k=%d tt=%#x: unateness %v, reference %v", k, tt, got, want)
+	}
+	a := NewLUT("f", cover, MaxLUTInputs)
+	b := NewLUTTable("f", k, tt, MaxLUTInputs)
+	if !slices.Equal(a.Unate, want) || !slices.Equal(b.Unate, want) {
+		t.Fatalf("k=%d tt=%#x: NewLUT unateness %v, NewLUTTable %v, reference %v", k, tt, a.Unate, b.Unate, want)
+	}
+	if !slices.Equal(a.Timing, b.Timing) || a.Area != b.Area || a.Width != b.Width ||
+		a.NumInputs != b.NumInputs || !sameCover(a.Cover, b.Cover) {
+		t.Fatalf("k=%d tt=%#x: NewLUT and NewLUTTable cells differ:\n%+v\n%+v", k, tt, a, b)
+	}
+	return want
+}
+
+// TestUnatenessMatchesReference: the truth-table unateness equals the
+// cover-evaluation definition on every table up to 3 inputs, on 2,000
+// seeded random tables each at 4, 5 and 6 inputs, and on every library
+// cell; and the table constructor builds the same LUT cell as NewLUT.
+func TestUnatenessMatchesReference(t *testing.T) {
+	for k := 1; k <= 3; k++ {
+		for tt := uint64(0); tt < 1<<(1<<k); tt++ {
+			checkTable(t, k, tt)
+		}
+	}
+	rng := rand.New(rand.NewSource(14))
+	for k := 4; k <= 6; k++ {
+		mask := ^uint64(0)
+		if k < 6 {
+			mask = uint64(1)<<(1<<k) - 1
+		}
+		var seen [3]int
+		for i := 0; i < 2000; i++ {
+			tt := rng.Uint64()
+			if i%2 == 1 {
+				// A random unate function: an OR of random cubes whose
+				// literals take one fixed phase per input.
+				phase := rng.Uint64()
+				tt = 0
+				for c := rng.Intn(4); c >= 0; c-- {
+					cube := ^uint64(0)
+					for v := 0; v < k; v++ {
+						if rng.Intn(3) == 0 {
+							lit := VarTable[v]
+							if phase>>v&1 == 1 {
+								lit = ^lit
+							}
+							cube &= lit
+						}
+					}
+					tt |= cube
+				}
+			}
+			for _, u := range checkTable(t, k, tt&mask) {
+				seen[u]++
+			}
+		}
+		if seen[UnatePos] == 0 || seen[UnateNeg] == 0 || seen[Binate] == 0 {
+			t.Fatalf("k=%d: random tables missed a unateness class: %v", k, seen)
+		}
+	}
+	for _, lib := range []*Library{Tiny(), Big()} {
+		for _, g := range lib.Gates {
+			if want := refUnateness(g.Cover); !slices.Equal(g.Unate, want) {
+				t.Errorf("%s/%s: unateness %v, reference %v", lib.Name, g.Name, g.Unate, want)
+			}
+		}
+	}
+}
+
+// TestNewLUTTileBounds: a function wider than its tile, or a tile wider
+// than one truth-table word, is a programming error.
+func TestNewLUTTileBounds(t *testing.T) {
+	for _, c := range []struct{ k, tileK int }{{5, 4}, {3, 7}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewLUTTable(k=%d, tile=%d) did not panic", c.k, c.tileK)
+				}
+			}()
+			NewLUTTable("f", c.k, 0, c.tileK)
+		}()
 	}
 }

@@ -358,15 +358,14 @@ type FlowResult struct {
 	// CriticalPath lists the gate names along the critical path.
 	CriticalPath []string
 	// Rows and PeakChannelDensity describe the layout.
-	Rows                int
-	PeakChannelDensity  int
-	SubjectNodes        int // inchoate NAND2/INV node count
-	LilyReincarnations  int // logic duplication events (Lily only)
-	LilyConesProcessed  int
-	BuffersInserted     int     // fanout-optimization buffers (if enabled)
-	WorstSlackNS        float64 // against ClockPeriodNS (when set)
-	ViolatingCells      int     // cells with negative slack (when set)
-	EstimatorDivergence float64 // |constructive - routed| / routed wirelength (Lily only)
+	Rows               int
+	PeakChannelDensity int
+	SubjectNodes       int // inchoate NAND2/INV node count
+	LilyReincarnations int // logic duplication events (Lily only)
+	LilyConesProcessed int
+	BuffersInserted    int     // fanout-optimization buffers (if enabled)
+	WorstSlackNS       float64 // against ClockPeriodNS (when set)
+	ViolatingCells     int     // cells with negative slack (when set)
 }
 
 func (r *FlowResult) String() string {
